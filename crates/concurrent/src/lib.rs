@@ -52,6 +52,8 @@ pub mod pmap;
 #[allow(unsafe_code)]
 pub mod rcu;
 pub mod sharded;
+#[cfg(test)]
+mod test_support;
 pub mod throughput;
 
 pub use durability::{DurabilitySink, RecoveredShard, ShardCheckpoint, StaleSeed, WriteRecord};

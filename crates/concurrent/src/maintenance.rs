@@ -12,6 +12,16 @@
 //! wait on maintenance at all; on the locked path rebuilds take short
 //! exclusive locks.
 //!
+//! On the RCU path the shard's writers do not wait for a re-smoothing pass
+//! either. The pass smooths a snapshot captured at its start while writes
+//! keep landing in the live overlay, and its install carries those writes
+//! over on top of the smoothed base. Only the capture and the install take
+//! the shard's writer mutex, each for a bounded copy of at most one
+//! overlay. When a capacity fold or a checkpoint replaced the shard's base
+//! mid-pass, the pass is discarded
+//! ([`MaintenanceStats::discarded_passes`]); the shard stays stale and a
+//! later tick picks it again.
+//!
 //! The engine is synchronous and step-wise ([`MaintenanceEngine::run_once`]):
 //! callers own the cadence — the engine-owned background thread
 //! ([`MaintenanceEngine::spawn`]), an idle-time hook, or a test loop that
@@ -20,7 +30,7 @@
 //! much planning any single tick performs, carrying both unfinished work and
 //! overshoot over to the next tick.
 
-use crate::sharded::ShardedIndex;
+use crate::sharded::{MaintainProgress, ShardedIndex};
 use csv_common::sync::{AtomicBool, Mutex, Ordering};
 use csv_common::traits::{RangeIndex, SnapshotIndex};
 use csv_core::{CsvIntegrable, CsvOptimizer, CsvReport};
@@ -115,10 +125,13 @@ pub enum MaintenanceAction {
     Maintained {
         /// Position of the maintained shard.
         shard: usize,
-        /// The CSV report of the (possibly partial) incremental pass.
+        /// The CSV report of the (possibly partial or discarded)
+        /// incremental pass.
         report: CsvReport,
-        /// `false` when the tick budget expired mid-sweep; the engine
-        /// resumes this shard on its next tick.
+        /// `false` when the tick budget expired mid-sweep (the engine
+        /// resumes this shard on its next tick) or when the pass was
+        /// discarded at install because the shard's base changed under it
+        /// (the shard stays stale, so the ranking picks it again).
         completed: bool,
     },
     /// Shard `shard`'s write-ahead-log backlog had crossed
@@ -163,6 +176,8 @@ struct EngineState {
     /// shard re-surface. Budgeted engines should own their index's
     /// re-layout exclusively, which `MaintenanceEngine::spawn` guarantees.
     cursor: Option<(usize, usize)>,
+    /// Passes discarded at install (see [`MaintainProgress::discarded`]).
+    discarded_passes: usize,
 }
 
 /// The adaptive maintenance engine. Owns the optimizer configuration, the
@@ -234,6 +249,18 @@ impl MaintenanceEngine {
         }
     }
 
+    /// Books a pass's outcome: the resume cursor of an interrupted pass, or
+    /// the tally of a discarded one.
+    fn record_progress(&self, shard: usize, progress: &MaintainProgress) {
+        let mut state = self.state.lock();
+        if let Some(next_level) = progress.resume_level {
+            state.cursor = Some((shard, next_level));
+        }
+        if progress.discarded {
+            state.discarded_passes += 1;
+        }
+    }
+
     /// One maintenance tick: resume a budget-interrupted shard if one is
     /// pending, else split the most outgrown shard, else merge the most
     /// drained one, else incrementally re-optimise the stalest shard, else
@@ -258,9 +285,7 @@ impl MaintenanceEngine {
             if let Some(progress) =
                 index.maintain_shard_budgeted(shard, &self.optimizer, Some(level), deadline)
             {
-                if let Some(next_level) = progress.resume_level {
-                    self.state.lock().cursor = Some((shard, next_level));
-                }
+                self.record_progress(shard, &progress);
                 self.settle(allowance, started);
                 return MaintenanceAction::Maintained {
                     shard,
@@ -372,9 +397,7 @@ impl MaintenanceEngine {
                 if let Some(progress) =
                     index.maintain_shard_budgeted(shard, &self.optimizer, None, deadline)
                 {
-                    if let Some(next_level) = progress.resume_level {
-                        self.state.lock().cursor = Some((shard, next_level));
-                    }
+                    self.record_progress(shard, &progress);
                     self.settle(allowance, started);
                     return MaintenanceAction::Maintained {
                         shard,
@@ -433,6 +456,7 @@ impl MaintenanceEngine {
             .name("csv-maintenance".into())
             .spawn(move || {
                 let mut stats = MaintenanceStats::default();
+                let discarded_before = self.state.lock().discarded_passes;
                 while !stop_flag.load(Ordering::Relaxed) {
                     // Catch per tick: a panicking tick (a poisoned shard, a
                     // failing durability sink) is recorded for the handle
@@ -470,6 +494,7 @@ impl MaintenanceEngine {
                         }
                     }
                 }
+                stats.discarded_passes = self.state.lock().discarded_passes - discarded_before;
                 stats
             })
             .expect("spawning the maintenance thread must succeed");
@@ -516,8 +541,14 @@ impl std::error::Error for EnginePanic {}
 pub struct MaintenanceStats {
     /// Incremental shard-maintenance passes (including interrupted ones).
     pub maintain_passes: usize,
-    /// Passes cut short by the tick budget (a subset of `maintain_passes`).
+    /// Passes that did not complete their shard: cut short by the tick
+    /// budget, or discarded (a subset of `maintain_passes`).
     pub interrupted_passes: usize,
+    /// Passes discarded at install because a capacity fold, a checkpoint
+    /// or a re-layout replaced the shard's base while they planned (a
+    /// subset of `interrupted_passes`; see
+    /// [`MaintainProgress::discarded`]).
+    pub discarded_passes: usize,
     /// Shard splits performed.
     pub splits: usize,
     /// Shard merges performed.
@@ -815,6 +846,110 @@ mod tests {
     /// Budget accounting: a tick that overshoots its budget leaves debt,
     /// and the next ticks are deferred until the debt is paid — never
     /// planning more than the budget allows.
+    /// A capacity fold that lands while a pass plans replaces the base the
+    /// pass captured. The pass must be discarded with the index's contents
+    /// exact and the shard still ranked stale, and the engine must pick the
+    /// shard again and finish it — counted in `discarded_passes`.
+    #[test]
+    fn a_fold_during_a_pass_discards_it_and_the_engine_retries() {
+        use crate::test_support::{GatedLipp, PlanGate};
+        use csv_common::KeyValue;
+        use std::collections::{BTreeMap, HashSet};
+
+        const CAPACITY: usize = 16;
+        let keys = Dataset::Osm.generate(20_000, 11);
+        let present: HashSet<Key> = keys.iter().copied().collect();
+        let fresh: Vec<Key> = keys
+            .iter()
+            .map(|&k| k + 1)
+            .filter(|k| !present.contains(k))
+            .take(2 * (CAPACITY + 1) + 3)
+            .collect();
+        let (first_fold, rest) = fresh.split_at(CAPACITY + 1);
+        let (stale_again, second_fold) = rest.split_at(3);
+        let config = config(1, ReadPath::Rcu).with_overlay_capacity(CAPACITY);
+        let index = Arc::new(ShardedIndex::<GatedLipp>::bulk_load(
+            &identity_records(&keys),
+            config,
+        ));
+        let gate = Arc::new(PlanGate::default());
+        index.with_shards_mut_seq(|shard| shard.attach(&gate));
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        let expected = |oracle: &BTreeMap<Key, Value>| -> Vec<KeyValue> {
+            oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect()
+        };
+        // Enough fresh inserts to overflow the overlay: the last one folds.
+        let fold_mid_pass = |oracle: &mut BTreeMap<Key, Value>, inserts: &[Key]| {
+            gate.wait_parked();
+            for &k in inserts {
+                assert!(index.insert(k, k + 7));
+                oracle.insert(k, k + 7);
+            }
+            gate.release();
+        };
+
+        // Step by step: the discarded pass leaves the shard stale and the
+        // next tick picks it again.
+        let engine = engine();
+        gate.arm();
+        let action = crossbeam::thread::scope(|scope| {
+            let pass = scope.spawn(|_| engine.run_once(&index));
+            fold_mid_pass(&mut oracle, first_fold);
+            pass.join().expect("the tick must not panic")
+        })
+        .expect("threads must not panic");
+        assert!(
+            matches!(
+                action,
+                MaintenanceAction::Maintained {
+                    shard: 0,
+                    completed: false,
+                    ..
+                }
+            ),
+            "the pass must be discarded, got {action:?}"
+        );
+        assert_eq!(index.range(0, Key::MAX), expected(&oracle));
+        assert_eq!(index.len(), oracle.len());
+        let (writes, maintained) = index.write_counters()[0];
+        assert!(
+            !maintained && writes >= keys.len(),
+            "the shard must stay stale"
+        );
+        assert!(index.staleness()[0].score(1.0) >= engine.config().min_score);
+        assert!(matches!(
+            engine.run_once(&index),
+            MaintenanceAction::Maintained {
+                shard: 0,
+                completed: true,
+                ..
+            }
+        ));
+        assert_eq!(index.write_counters(), vec![(0, true)]);
+
+        // The spawned engine counts its discards.
+        for &k in stale_again {
+            index.insert(k, k);
+            oracle.insert(k, k);
+        }
+        gate.arm();
+        let handle = engine.spawn(Arc::clone(&index));
+        fold_mid_pass(&mut oracle, second_fold);
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while index.write_counters() != vec![(0, true)] {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "engine never quiesced"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let stats = handle.shutdown().expect("no tick may panic");
+        assert_eq!(stats.discarded_passes, 1, "{stats:?}");
+        assert_eq!(stats.interrupted_passes, 1, "{stats:?}");
+        assert_eq!(stats.maintain_passes, 2, "{stats:?}");
+        assert_eq!(index.range(0, Key::MAX), expected(&oracle));
+    }
+
     #[test]
     fn tick_budget_defers_after_overshoot() {
         let keys = Dataset::Osm.generate(30_000, 13);

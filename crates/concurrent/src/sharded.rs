@@ -27,10 +27,19 @@
 //! by cloning the base and replaying the upserts when there are no
 //! tombstones (which preserves the CSV-smoothed layout and the
 //! dirty-sub-tree marks), or by a merge-join rebuild when there are — and
-//! that triggering write lands in the folded base. Maintenance
-//! (`maintain_shard`, `optimize`) plans against the live snapshot, applies
-//! onto a clone, and swaps — the apply phase holds no lock any reader can
-//! observe.
+//! that triggering write lands in the folded base.
+//!
+//! Maintenance builds a smoothed successor off to the side and swaps it in,
+//! so no reader ever waits for it. `optimize` (run at setup, before
+//! writers) holds the shard's writer mutex for its whole pass.
+//! `maintain_shard`, which the background engine runs while writes are
+//! served, does not: it captures the live snapshot, smooths a private fold
+//! of it with no lock held, then retakes the mutex only to install the
+//! result with the writes that landed meanwhile carried over as its
+//! overlay. A pass whose captured base was replaced mid-pass (a capacity
+//! fold or a checkpoint) is discarded rather than installed. This is the
+//! two-phase background compaction of XIndex (Tang et al., PPoPP 2020),
+//! with the RCU overlay as its delta buffer.
 
 use crate::durability::{DurabilitySink, RecoveredShard, ShardCheckpoint, StaleSeed, WriteRecord};
 use crate::pmap::PMap;
@@ -266,6 +275,17 @@ impl StaleCounters {
         self.writes.store(0, Ordering::Relaxed);
     }
 
+    /// Retires the `absorbed` structural writes a completed maintenance
+    /// pass captured, keeping every write counted since the capture: those
+    /// landed in the live overlay, not in the smoothed base, so the shard
+    /// must stay stale for them. Called under the shard's writer mutex,
+    /// which also serialises every reset, so the counter cannot have
+    /// dropped below `absorbed` since it was read.
+    fn settle_writes(&self, absorbed: usize) {
+        let before = self.writes.fetch_sub(absorbed, Ordering::Relaxed);
+        debug_assert!(before >= absorbed, "staleness counter underflow");
+    }
+
     /// Overwrites the counters with recovered state (see
     /// [`ShardedIndex::from_recovered`]).
     fn load_seed(&self, seed: StaleSeed) {
@@ -349,14 +369,20 @@ pub struct MaintainProgress {
     pub report: CsvReport,
     /// `Some(level)` when the deadline expired mid-sweep: the next call
     /// should resume planning at this level. `None` when the shard was
-    /// fully maintained (and marked clean).
+    /// fully maintained (and marked clean) or the pass was discarded.
     pub resume_level: Option<usize>,
+    /// RCU path only: `true` when the pass was thrown away at install
+    /// because the shard's base was replaced while it planned (a capacity
+    /// fold, a checkpoint or another pass) or the shard was retired by a
+    /// split/merge. Nothing was published and the shard stays stale, so
+    /// the staleness ranking picks it again.
+    pub discarded: bool,
 }
 
 impl MaintainProgress {
     /// `true` when the shard was fully maintained this call.
     pub fn completed(&self) -> bool {
-        self.resume_level.is_none()
+        self.resume_level.is_none() && !self.discarded
     }
 }
 
@@ -544,6 +570,21 @@ impl Overlay {
             }
             Self::Tree(map) => Self::Tree(map.insert_many(batch)),
         }
+    }
+
+    /// The slots of `self` that `older` does not hold identically, in key
+    /// order — one merge walk over both sorted overlays. When `self` grew
+    /// out of `older` by writes alone (same base, no fold in between), its
+    /// keys are a superset of `older`'s, and these are exactly the writes
+    /// that landed after `older` was published.
+    fn changed_since(&self, older: &Overlay) -> Vec<(Key, Option<Value>)> {
+        let mut older = older.range(0, Key::MAX).peekable();
+        self.range(0, Key::MAX)
+            .filter(|&(key, slot)| {
+                while older.next_if(|&(k, _)| k < key).is_some() {}
+                older.peek() != Some(&(key, slot))
+            })
+            .collect()
     }
 
     /// Hints the caches about `key`'s overlay slot ahead of a batched
@@ -740,8 +781,9 @@ struct RcuShard<I> {
     lower_bound: Key,
     /// The published snapshot readers consume.
     snap: RcuCell<ShardSnapshot<I>>,
-    /// Serializes writers and maintenance on this shard. Readers never
-    /// touch it.
+    /// Serializes writers, folds, checkpoints and the capture and install
+    /// steps of a maintenance pass on this shard (the pass plans without
+    /// it). Readers never touch it.
     writer: Mutex<()>,
     /// Set (under `writer`) when a split/merge replaced this shard in the
     /// layout: writers that raced the re-layout re-route instead of
@@ -2350,10 +2392,19 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
     ///
     /// Locked path: plan under the shard's shared lock, apply under its
     /// short exclusive lock; writes landing between the phases are safe
-    /// (stale layouts are refused). RCU path: plan on the live snapshot,
-    /// apply onto a clone, publish with one swap — the apply phase holds no
-    /// lock readers can observe, and the shard's own writers (who queue on
-    /// the writer mutex) cannot interleave, so no refusal races exist.
+    /// (stale layouts are refused). RCU path: capture → plan → install, so
+    /// neither readers nor the shard's writers wait for the pass. The
+    /// capture takes the writer mutex just long enough to record the live
+    /// snapshot and the shard's structural-write count. The plan folds that
+    /// snapshot into a private successor and smooths it with no lock held,
+    /// while writes keep landing in the live overlay. The install retakes
+    /// the mutex and publishes the successor with, as its overlay, the
+    /// writes that landed meanwhile. If a capacity fold, a checkpoint or a
+    /// split/merge replaced the captured base in between, the pass is
+    /// discarded instead (see [`MaintainProgress::discarded`]). The install
+    /// makes no durability-sink call: the pass changes layout, not content,
+    /// so the shard's last checkpoint plus its un-truncated log still
+    /// recover the same state.
     ///
     /// Returns the shard's CSV report, or `None` when `shard` is out of
     /// bounds (a split/merge may have changed the layout since the caller
@@ -2368,8 +2419,15 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
     /// the first level that finishes past `deadline`, returning where to
     /// resume. At least one level is processed per call, so a sequence of
     /// budgeted calls always terminates. The shard is only marked clean —
-    /// and its staleness counters only reset — once the sweep completes,
+    /// and its staleness counters only settled — once the sweep completes,
     /// so an interrupted shard stays at the head of the staleness ranking.
+    ///
+    /// On the RCU path an interrupted pass installs its partial progress
+    /// the same way a completed one installs its result, and a completed
+    /// pass retires only the structural writes it captured: writes that
+    /// landed during the pass are not in the smoothed base, so they keep
+    /// the shard stale. The budget bounds the planning work per call, not
+    /// any writer's wait: writers never wait for the plan.
     pub fn maintain_shard_budgeted(
         &self,
         shard: usize,
@@ -2408,18 +2466,27 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
                 Some(MaintainProgress {
                     report,
                     resume_level,
+                    discarded: false,
                 })
             }
             Repr::Rcu(r) => {
                 let layout = r.layout.load();
                 let shard = layout.shards.get(shard)?;
-                let _writes = shard.writer.lock();
-                if shard.retired.load(Ordering::SeqCst) {
-                    return None;
-                }
+                // Capture: the snapshot the pass smooths and the structural
+                // writes it already reflects, read together under the
+                // writer mutex (writers count their write before releasing
+                // it).
+                let (captured, captured_writes) = {
+                    let _writes = shard.writer.lock();
+                    if shard.retired.load(Ordering::SeqCst) {
+                        return None;
+                    }
+                    (shard.snap.load(), shard.stale.snapshot().0)
+                };
+                // Plan: no lock held, writers keep publishing meanwhile.
                 let mut report = CsvReport::default();
                 let mut resume_level = None;
-                let mut next = shard.snap.load().folded_base();
+                let mut next = captured.folded_base();
                 if let Some((start_level, stop_level)) = optimizer.sweep_levels(&next) {
                     let from = resume_from
                         .unwrap_or(start_level)
@@ -2433,22 +2500,42 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
                         }
                     }
                 }
-                if resume_level.is_none() {
-                    rcu_finish_maintenance(shard, next, r.overlay, self.sink.as_ref());
-                } else {
-                    // Publish the partial progress (dirty marks intact, no
-                    // counter reset) so the next tick resumes from it. No
-                    // sink call: the rebuild is content-preserving, so the
-                    // shard's previous checkpoint plus its (un-truncated)
-                    // log still recover exactly this state.
-                    shard
-                        .snap
-                        .publish(Arc::new(ShardSnapshot::clean(Arc::new(next), r.overlay)));
+                // A completed pass marks the successor clean and records its
+                // level baseline before the install, so the structure walk
+                // holds no lock. An interrupted one keeps its dirty marks so
+                // the next call resumes from them.
+                let mean = resume_level.is_none().then(|| {
+                    next.csv_mark_clean();
+                    next.stats().mean_key_level()
+                });
+                // Install.
+                let _writes = shard.writer.lock();
+                let live = shard.snap.load();
+                let discarded = shard.retired.load(Ordering::SeqCst)
+                    || !Arc::ptr_eq(&live.base, &captured.base);
+                if !discarded {
+                    // The live overlay grew out of the captured one by
+                    // writes alone, so the slots it does not share with it
+                    // are exactly the writes the successor lacks. Content
+                    // is unchanged, so `len` carries over.
+                    let delta = live.overlay.changed_since(&captured.overlay);
+                    let tombstones = delta.iter().filter(|(_, slot)| slot.is_none()).count();
+                    shard.snap.publish(Arc::new(ShardSnapshot {
+                        base: Arc::new(next),
+                        overlay: Overlay::empty(r.overlay).ingest(&delta, Vec::new()),
+                        tombstones,
+                        len: live.len,
+                    }));
+                    if let Some(mean) = mean {
+                        shard.stale.settle_writes(captured_writes);
+                        shard.stale.mark_maintained(mean);
+                    }
                 }
                 report.preprocessing_time = started.elapsed();
                 Some(MaintainProgress {
                     report,
-                    resume_level,
+                    resume_level: resume_level.filter(|_| !discarded),
+                    discarded,
                 })
             }
         }
@@ -3420,6 +3507,104 @@ mod tests {
             for &k in keys.iter().step_by(997) {
                 assert_eq!(sharded.get(k), Some(k));
             }
+        }
+    }
+
+    /// A pass plans without the writer mutex, so writes land between its
+    /// capture and its install. The install must carry every one of them
+    /// over on top of the smoothed base, and keep the structural ones
+    /// counted in `write_counters`: they are not in the smoothed base, so
+    /// the shard stays stale for exactly those writes until the next pass.
+    #[test]
+    fn writes_during_a_pass_stay_counted_and_visible() {
+        use crate::test_support::{GatedLipp, PlanGate};
+        use csv_core::CsvConfig;
+        use std::collections::HashSet;
+
+        let keys = Dataset::Osm.generate(20_000, 7);
+        let present: HashSet<Key> = keys.iter().copied().collect();
+        let fresh: Vec<Key> = keys
+            .iter()
+            .map(|&k| k + 1)
+            .filter(|k| !present.contains(k))
+            .take(40)
+            .collect();
+        let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
+        for repr in BOTH_OVERLAYS {
+            let sharded = ShardedIndex::<GatedLipp>::bulk_load(
+                &identity_records(&keys),
+                config(1, ReadPath::Rcu).with_overlay(repr),
+            );
+            let gate = Arc::new(PlanGate::default());
+            sharded.with_shards_mut_seq(|index| index.attach(&gate));
+            let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+            // Applies one write to both sides; returns 1 when it was
+            // structural (changed the live key set).
+            let mut apply = |key: Key, value: Option<Value>| {
+                let was_present = oracle.contains_key(&key);
+                match value {
+                    Some(v) => {
+                        assert_eq!(sharded.insert(key, v), oracle.insert(key, v).is_none());
+                    }
+                    None => assert_eq!(sharded.remove(key), oracle.remove(&key)),
+                }
+                usize::from(was_present != oracle.contains_key(&key))
+            };
+
+            // Captured by the pass: the bulk-loaded seed plus 20 fresh keys.
+            for &k in &fresh[..20] {
+                apply(k, Some(1));
+            }
+            assert_eq!(sharded.write_counters(), vec![(keys.len() + 20, false)]);
+
+            let mut during = 0usize;
+            gate.arm();
+            let progress = crossbeam::thread::scope(|scope| {
+                let pass =
+                    scope.spawn(|_| sharded.maintain_shard_budgeted(0, &optimizer, None, None));
+                gate.wait_parked();
+                // Every slot shape the install's delta must carry: fresh
+                // keys, overwrites of captured overlay slots and of base
+                // keys, tombstones over base keys and over captured slots.
+                for &k in &fresh[20..] {
+                    during += apply(k, Some(2));
+                }
+                for &k in &fresh[..5] {
+                    during += apply(k, Some(3));
+                }
+                for &k in keys.iter().step_by(1_000) {
+                    during += apply(k, Some(4));
+                }
+                for &k in keys.iter().skip(1).step_by(2_000) {
+                    during += apply(k, None);
+                }
+                for &k in &fresh[5..8] {
+                    during += apply(k, None);
+                }
+                gate.release();
+                pass.join().expect("the pass must not panic")
+            })
+            .expect("threads must not panic")
+            .expect("the only shard exists");
+            assert!(during > 0);
+
+            assert!(progress.completed(), "nothing replaced the captured base");
+            assert_eq!(
+                sharded.write_counters(),
+                vec![(during, true)],
+                "{repr:?}: the install must keep the writes that landed during the pass"
+            );
+            let expected: Vec<KeyValue> =
+                oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
+            assert_eq!(sharded.range(0, Key::MAX), expected, "{repr:?}");
+            assert_eq!(sharded.len(), oracle.len());
+
+            // The next pass absorbs them (its fold also proves the carried
+            // tombstone count is exact: a wrong one would pick the wrong
+            // fold path).
+            assert!(sharded.maintain_shard(0, &optimizer).is_some());
+            assert_eq!(sharded.write_counters(), vec![(0, true)]);
+            assert_eq!(sharded.range(0, Key::MAX), expected, "{repr:?}");
         }
     }
 

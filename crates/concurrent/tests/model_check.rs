@@ -20,7 +20,10 @@
 //! * a write observed by any reader was already logged to the durability
 //!   sink (write-ahead ordering),
 //! * writers that race a split/merge re-route instead of publishing into a
-//!   retired shard.
+//!   retired shard,
+//! * a writer racing a maintenance pass (which plans without the shard's
+//!   writer mutex) loses no acknowledged write, and the pass neither
+//!   checkpoints nor drops a logged record.
 #![cfg(feature = "check")]
 
 use csv_btree::BPlusTree;
@@ -30,7 +33,9 @@ use csv_concurrent::{
     DurabilitySink, OverlayRepr, RcuCell, ReadPath, ShardCheckpoint, ShardedIndex, ShardingConfig,
     WriteOp, WriteRecord,
 };
-use std::collections::HashSet;
+use csv_core::{CsvConfig, CsvOptimizer};
+use csv_lipp::LippIndex;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// A payload that records its own reclamation through an *instrumented*
@@ -473,4 +478,132 @@ fn randomized_retired_handle_writers_reroute_during_split() {
         "randomized writer-vs-split reroute: {} schedules, {} distinct",
         report.schedules, report.distinct
     );
+}
+
+/// A sink that keeps the state a recovery would rebuild — the last
+/// checkpoint with the log replayed on top — and counts checkpoints,
+/// through instrumented locks so both are part of the explored schedule.
+#[derive(Default)]
+struct ReplayingSink {
+    durable: Mutex<BTreeMap<Key, Value>>,
+    checkpoints: Mutex<usize>,
+}
+
+impl ReplayingSink {
+    fn apply(&self, key: Key, value: Option<Value>) {
+        let mut durable = self.durable.lock();
+        match value {
+            Some(value) => durable.insert(key, value),
+            None => durable.remove(&key),
+        };
+    }
+
+    fn recovered(&self) -> Vec<KeyValue> {
+        self.durable
+            .lock()
+            .iter()
+            .map(|(&key, &value)| KeyValue::new(key, value))
+            .collect()
+    }
+
+    fn checkpoints(&self) -> usize {
+        *self.checkpoints.lock()
+    }
+}
+
+impl DurabilitySink for ReplayingSink {
+    fn log_write(&self, _shard: Key, key: Key, value: Option<Value>) {
+        self.apply(key, value);
+    }
+
+    fn checkpoint(&self, checkpoint: &ShardCheckpoint) {
+        // One shard: a checkpoint replaces the whole durable state and
+        // truncates the log.
+        *self.checkpoints.lock() += 1;
+        *self.durable.lock() = checkpoint
+            .records
+            .iter()
+            .map(|record| (record.key, record.value))
+            .collect();
+    }
+
+    fn replace_shards(&self, _retired: &[Key], created: &[ShardCheckpoint]) {
+        for checkpoint in created {
+            self.checkpoint(checkpoint);
+        }
+    }
+
+    fn backlog(&self, _shard: Key) -> u64 {
+        0
+    }
+}
+
+/// A maintenance pass takes the shard's writer mutex only to capture its
+/// snapshot and to install the smoothed successor; it plans in between
+/// with no lock held. One writer races all three steps on every explored
+/// schedule, on both overlay representations. Every write acked before
+/// the install must be readable after it with its latest value (fresh
+/// insert, overwrite of a loaded key, removal, and an overwrite of the
+/// writer's own earlier slot), and the sink must see no checkpoint from
+/// the pass — it changes layout, not content — while its log still
+/// replays to exactly the index's contents.
+#[test]
+fn randomized_writer_races_a_maintenance_pass() {
+    for (repr, seed) in [
+        (OverlayRepr::Vec, 0xC5F_0001),
+        (OverlayRepr::Persistent, 0xC5F_0002),
+    ] {
+        let opts = csv_check::Random {
+            schedules: 2048,
+            seed,
+            ..csv_check::Random::default()
+        };
+        let report = csv_check::explore_random(opts, move || {
+            let sink = Arc::new(ReplayingSink::default());
+            let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load_durable(
+                &records(6),
+                // Capacity 8: the writer's four writes never fold, so any
+                // checkpoint after the bulk load would be the pass's.
+                one_shard_config(8).with_overlay(repr),
+                Arc::clone(&sink) as Arc<dyn DurabilitySink>,
+            ));
+            let checkpoints_at_load = sink.checkpoints();
+            let writer_index = Arc::clone(&index);
+            let writer = csv_check::spawn(move || {
+                assert!(writer_index.insert(15, 150));
+                assert!(!writer_index.insert(20, 21));
+                assert_eq!(writer_index.remove(30), Some(3));
+                assert!(!writer_index.insert(15, 151));
+            });
+            let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
+            assert!(index.maintain_shard(0, &optimizer).is_some());
+            writer.join();
+
+            let mut expected: BTreeMap<Key, Value> =
+                records(6).iter().map(|r| (r.key, r.value)).collect();
+            expected.insert(15, 151);
+            expected.insert(20, 21);
+            expected.remove(&30);
+            let expected: Vec<KeyValue> = expected
+                .into_iter()
+                .map(|(key, value)| KeyValue::new(key, value))
+                .collect();
+            assert_eq!(
+                index.range(0, Key::MAX),
+                expected,
+                "an acked write was lost"
+            );
+            assert_eq!(index.len(), expected.len());
+            assert_eq!(
+                sink.checkpoints(),
+                checkpoints_at_load,
+                "the maintenance pass checkpointed"
+            );
+            assert_eq!(sink.recovered(), expected, "the log dropped a record");
+        });
+        eprintln!(
+            "randomized writer vs maintenance pass ({repr:?}): {} schedules, {} distinct",
+            report.schedules, report.distinct
+        );
+    }
 }

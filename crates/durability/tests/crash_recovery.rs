@@ -9,7 +9,8 @@ use csv_common::key::identity_records;
 use csv_common::sync::{AtomicUsize, Ordering};
 use csv_common::{Key, KeyValue, Value};
 use csv_concurrent::{
-    MaintenanceConfig, MaintenanceEngine, ReadPath, ShardedIndex, ShardingConfig, WriteOp,
+    MaintenanceAction, MaintenanceConfig, MaintenanceEngine, ReadPath, ShardedIndex,
+    ShardingConfig, WriteOp,
 };
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_durability::{
@@ -419,5 +420,103 @@ fn group_commits_recover_all_or_nothing() {
         "some cut must land between the point write and the batch"
     );
     assert!(seen_post, "the uncut tail must recover the whole batch");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A maintenance pass plans with no lock held, so writes keep landing in
+/// the shard's log while it runs, and its install writes no checkpoint. A
+/// crash right after (the index dropped without a shutdown) must still
+/// recover every acknowledged write — from the pre-pass checkpoint plus
+/// the un-truncated log — with no shard torn.
+#[test]
+fn writes_acked_during_a_maintenance_pass_survive_a_crash() {
+    use csv_common::sync::AtomicBool;
+
+    /// Caps the racing writes below the default overlay capacity of either
+    /// shard, so no fold replaces a base and every pass installs.
+    const MAX_WRITES: u64 = 6_000;
+    let dir = test_dir("pass-crash");
+    let initial: BTreeMap<Key, Value> = (0..20_000u64).map(|i| (i * 7, i)).collect();
+    let config = ShardingConfig::with_shards(2).with_read_path(ReadPath::Rcu);
+    let (oracle, acked_during_passes) = {
+        let sink = Arc::new(FileSink::create(DurabilityConfig::new(&dir)).unwrap());
+        let index: ShardedIndex<LippIndex> =
+            ShardedIndex::bulk_load_durable(&as_records(&initial), config, sink);
+        let engine = MaintenanceEngine::new(
+            CsvOptimizer::new(CsvConfig::for_lipp(0.1)),
+            MaintenanceConfig {
+                checkpoint_backlog: None,
+                ..MaintenanceConfig::default()
+            },
+        );
+        let (writing, passing, passed) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+        );
+        let outcome = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| {
+                let mut oracle = initial.clone();
+                let mut during = 0usize;
+                for i in 0..MAX_WRITES {
+                    if passed.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let racing = passing.load(Ordering::SeqCst);
+                    // Fresh inserts into the gaps, overwrites, removals.
+                    match i % 3 {
+                        0 => {
+                            let key = (i * 13 % 20_000) * 7 + 3;
+                            index.insert(key, i);
+                            oracle.insert(key, i);
+                        }
+                        1 => {
+                            let key = (i * 17 % 20_000) * 7;
+                            index.insert(key, i + 1);
+                            oracle.insert(key, i + 1);
+                        }
+                        _ => {
+                            let key = (i * 19 % 20_000) * 7;
+                            assert_eq!(index.remove(key), oracle.remove(&key));
+                        }
+                    }
+                    writing.store(true, Ordering::SeqCst);
+                    during += usize::from(racing && !passed.load(Ordering::SeqCst));
+                }
+                (oracle, during)
+            });
+            // Start the passes with the writer already mid-stream.
+            while !writing.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            passing.store(true, Ordering::SeqCst);
+            // One pass per (never maintained) shard.
+            for _ in 0..2 {
+                assert!(matches!(
+                    engine.run_once(&index),
+                    MaintenanceAction::Maintained {
+                        completed: true,
+                        ..
+                    }
+                ));
+            }
+            passed.store(true, Ordering::SeqCst);
+            writer.join().expect("the writer must not panic")
+        });
+        assert_eq!(index.range(0, Key::MAX), as_records(&outcome.0));
+        // Crash: the index and its sink are dropped with no shutdown.
+        outcome
+    };
+    assert!(
+        acked_during_passes > 0,
+        "no write was acknowledged while the passes ran"
+    );
+    let recovered: Recovered<LippIndex> = recover(DurabilityConfig::new(&dir), config).unwrap();
+    assert_eq!(recovered.report.torn_shards(), 0);
+    assert_eq!(
+        recovered.index.range(0, Key::MAX),
+        as_records(&oracle),
+        "recovery lost or invented a write acknowledged around a pass"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
